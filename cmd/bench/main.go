@@ -8,7 +8,6 @@
 //	bench -exp durability  # commit latency with WAL at sync=always/group/none
 //	bench -exp profile     # profiler on/off A/B + adaptive-statistics skew
 //	bench -exp concurrency # snapshot-read scaling + group-commit write scaling
-//	bench -exp prune       # static differential pruning off/on A/B
 //	bench -exp events      # event bus armed/disarmed A/B + subscriber fan-out
 //	bench -exp flightrec   # flight recorder armed/disarmed A/B (window-only mode)
 //	bench -exp all
@@ -53,10 +52,6 @@ type record struct {
 	WaitP50Us float64 `json:"gate_wait_p50_us,omitempty"`
 	WaitP95Us float64 `json:"gate_wait_p95_us,omitempty"`
 	WaitP99Us float64 `json:"gate_wait_p99_us,omitempty"`
-	// Prune experiment only: network shape under static pruning.
-	Compiled  int `json:"compiled_differentials,omitempty"`
-	Scheduled int `json:"scheduled_differentials,omitempty"`
-	Pruned    int `json:"pruned_differentials,omitempty"`
 	// Events experiment only: bus accounting for the fan-out rows.
 	Published int64 `json:"events_published,omitempty"`
 	Delivered int64 `json:"events_delivered,omitempty"`
@@ -77,7 +72,7 @@ type report struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig6, fig7, sharing, hybrid, durability, profile, concurrency, prune, events, flightrec, or all")
+	exp := flag.String("exp", "all", "experiment: fig6, fig7, sharing, hybrid, durability, profile, concurrency, events, flightrec, or all")
 	sizesFlag := flag.String("sizes", "", "comma-separated database sizes (defaults per experiment)")
 	txns := flag.Int("txns", 100, "transactions per measurement (fig6/sharing)")
 	rounds := flag.Int("rounds", 3, "massive transactions per measurement (fig7)")
@@ -131,13 +126,6 @@ func main() {
 	if run("concurrency") {
 		if err := runConcurrency(&rep); err != nil {
 			fmt.Fprintln(os.Stderr, "concurrency:", err)
-			failed = true
-		}
-	}
-	if run("prune") {
-		sizes := parseSizes(*sizesFlag, []int{100, 1000})
-		if err := runPrune(sizes, *txns, &rep); err != nil {
-			fmt.Fprintln(os.Stderr, "prune:", err)
 			failed = true
 		}
 	}
@@ -431,37 +419,6 @@ func runConcurrency(rep *report) error {
 				WaitP95Us: float64(r.WaitP95) / 1e3,
 				WaitP99Us: float64(r.WaitP99) / 1e3,
 			})
-		}
-	}
-	fmt.Println()
-	return nil
-}
-
-func runPrune(sizes []int, txns int, rep *report) error {
-	fmt.Printf("Static pruning — whole-network Δ-effect analysis off vs on; twin\n")
-	fmt.Printf("databases per workload, checked for identical firings and final state\n")
-	fmt.Printf("(fig6/fig7 seal unused dimensions readonly; deadbranch carries an\n")
-	fmt.Printf("OL302-dead disjunct over a shared view)\n\n")
-	rows, err := bench.RunPrune(sizes, txns)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%12s %8s %10s %10s %9s %7s %7s %10s %10s %9s %9s\n",
-		"workload", "items", "off ms", "on ms", "compiled", "sched", "pruned",
-		"off diffs", "on diffs", "off zero", "on zero")
-	for _, r := range rows {
-		fmt.Printf("%12s %8d %10.2f %10.2f %9d %7d %7d %10d %10d %9d %9d\n",
-			r.Workload, r.DBSize, ms(r.OffNs), ms(r.OnNs),
-			r.Compiled, r.Scheduled, r.Pruned, r.OffDiffs, r.OnDiffs, r.OffZero, r.OnZero)
-		if rep != nil {
-			ops := int64(r.Txns)
-			rep.Records = append(rep.Records,
-				record{Name: fmt.Sprintf("prune/%s/items=%d/off", r.Workload, r.DBSize),
-					NsPerOp: r.OffNs / ops, Execs: r.OffDiffs, ZeroEffect: r.OffZero,
-					Compiled: r.Compiled, Scheduled: r.Compiled},
-				record{Name: fmt.Sprintf("prune/%s/items=%d/on", r.Workload, r.DBSize),
-					NsPerOp: r.OnNs / ops, Execs: r.OnDiffs, ZeroEffect: r.OnZero,
-					Compiled: r.Compiled, Scheduled: r.Scheduled, Pruned: r.Pruned})
 		}
 	}
 	fmt.Println()

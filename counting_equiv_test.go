@@ -428,18 +428,17 @@ func TestFaultSweepHybrid(t *testing.T) {
 	}
 }
 
-// TestRuntimeToggleThenMutate pins the deadlock fix for runtime
-// maintenance toggles. SetCounting/SetHybrid (like SetStaticPruning and
-// the other network-invalidating setters) mark the propagation network
-// for rebuild, and the next physical update event arrives with the
-// store's write lock held — where a rebuild would re-run the Δ-effect
-// analysis, re-read store capabilities, and self-deadlock on that very
-// lock. The monitor must instead buffer dirty-network events and fold
-// them in at the next safe rebuild (the commit's check phase). The
-// drive runs under a panic watchdog so a regression fails loudly with
-// all goroutine stacks instead of hanging the suite, and the twin
-// equivalence at the end proves no buffered event was lost or replayed
-// across the rebuilds — including those of a rolled-back transaction.
+// TestRuntimeToggleThenMutate pins the handling of updates that arrive
+// while the propagation network is dirty. SetCounting/SetHybrid (like a
+// late shared-view definition and the other network-invalidating
+// calls) mark the network for rebuild, and the next physical update
+// event arrives with the store's write lock held, where the monitor
+// must not rebuild: it buffers dirty-network events and folds them in
+// at the next rebuild (the commit's check phase). The drive runs under
+// a panic watchdog so a deadlock fails loudly with all goroutine stacks
+// instead of hanging the suite, and the twin equivalence at the end
+// proves no buffered event was lost or replayed across the rebuilds —
+// including those of a rolled-back transaction.
 func TestRuntimeToggleThenMutate(t *testing.T) {
 	watchdog := time.AfterFunc(60*time.Second, func() {
 		buf := make([]byte, 1<<20)
@@ -479,13 +478,14 @@ func TestRuntimeToggleThenMutate(t *testing.T) {
 		}
 	}
 
-	// Same hazard class through the pruning toggle: invalidate the
-	// network again and drive support changes on the maintained view —
+	// Same hazard class through late shared-view definitions: each one
+	// invalidates the network on both twins, and the support changes
+	// that follow on the maintained view arrive while it is dirty —
 	// dropping two of :i2's three suppliers is support-only, dropping
 	// the last retracts threshold(:i2) so the condition goes false.
-	on.Session().SetStaticPruning(false)
+	step("create shared function spare(item i) -> integer as select min_stock(i) * 2;")
 	step("begin; remove supplies(:s4) = :i2; remove supplies(:s5) = :i2; commit;")
-	on.Session().SetStaticPruning(true)
+	step("create shared function surplus(item i) -> integer as select min_stock(i) * 3;")
 	step("begin; remove supplies(:s6) = :i2; commit;")
 	step("begin; set supplies(:s4) = :i2; commit;") // threshold re-derived: :i2 fires again
 

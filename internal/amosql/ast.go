@@ -110,9 +110,9 @@ type DeleteInstances struct {
 
 // DeclareStmt is: declare NAME readonly|append only|delete only|read-write;
 // It restricts the admitted change kinds of a stored function (or a
-// type's extent, named by type), enforced by the store and exploited by
-// the whole-network Δ-effect analysis to prune differentials the
-// restriction makes impossible. Capability holds the raw capability
+// type's extent, named by type), enforced by the store; the
+// whole-network Δ-effect lint reports the differentials the restriction
+// makes trigger-impossible (OL301). Capability holds the raw capability
 // text for storage.ParseCapability.
 type DeclareStmt struct {
 	Name       string

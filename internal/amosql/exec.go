@@ -270,19 +270,6 @@ func (s *Session) SetLazyAnalysis(lazy bool) { s.mgr.SetLazyAnalysis(lazy) }
 // procedures being registered or run.
 func (s *Session) SetLintMode(on bool) { s.lintMode = on }
 
-// SetStaticPruning controls whether rebuilt propagation networks run
-// the whole-network Δ-effect analysis and drop provably zero-effect
-// differentials from scheduling (default on; turn off for A/B
-// comparison).
-func (s *Session) SetStaticPruning(on bool) {
-	s.schemaMu.Lock()
-	defer s.schemaMu.Unlock()
-	s.mgr.SetStaticPruning(on)
-}
-
-// StaticPruning reports whether static differential pruning is on.
-func (s *Session) StaticPruning() bool { return s.mgr.StaticPruning() }
-
 // SetCounting enables or disables counting maintenance: differenced
 // condition views carry per-derived-tuple derivation counts, so
 // deletions decrement support and retract only at count zero — no
@@ -660,8 +647,8 @@ func (s *Session) execCreateType(x CreateType) (Result, error) {
 
 // execDeclare restricts the admitted change kinds of a stored function
 // or a type extent. The restriction is enforced by the store from here
-// on and rebuilds the propagation network, so the whole-network
-// Δ-effect analysis prunes the differentials it makes impossible.
+// on, and \lint reports the differentials it makes trigger-impossible
+// (OL301).
 // Journaled like the other schema statements: recovery re-executes it
 // before the snapshot's tables are loaded (the load paths bypass
 // enforcement, so a populated-then-frozen relation restores cleanly).

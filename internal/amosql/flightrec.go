@@ -31,9 +31,9 @@ func (s *Session) SetFlightRecorder(dir string) {
 
 // bundleExtras is the session's obs.BundleSource: the diagnostic
 // reports that need consistent session state — the profiler report, the
-// hybrid chooser journal, and the pruned propagation network in DOT
-// form. It runs on the recorder's bundle-writer goroutine, so it must
-// acquire the session writer gate like any other outside caller; if the
+// hybrid chooser journal, and the propagation network in DOT form. It
+// runs on the recorder's bundle-writer goroutine, so it must acquire
+// the session writer gate like any other outside caller; if the
 // gate cannot be had within bundleExtraWait (a stuck writer is a likely
 // reason the bundle exists at all), the bundle records why instead of
 // blocking.

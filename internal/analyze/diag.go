@@ -71,24 +71,24 @@ const (
 	// CodeUnreachableDelta (OL301): a differential's trigger Δ-set is
 	// provably always empty — the change capabilities declared on the
 	// base relations (insert-only, delete-only, frozen) never produce
-	// the trigger sign at the influent. The differential is pruned from
-	// scheduling. Informational: the network stays equivalent, only
-	// cheaper.
+	// the trigger sign at the influent — so the differential never runs.
+	// Informational: a lint on the declarations, the network is
+	// unchanged.
 	CodeUnreachableDelta = "OL301"
 
 	// CodeDeadAcrossViews (OL302): a disjunct is unsatisfiable once
 	// constants are propagated interprocedurally through the views it
 	// joins — dead like OL201, but only visible after expansion through
-	// view composition. Its differentials execute on every influent
-	// change and provably produce nothing, so they are pruned. Warning
-	// severity: the condition (or part of it) can never hold.
+	// view composition. Its differentials are not compiled into the
+	// propagation network. Warning severity: the condition (or part of
+	// it) can never hold.
 	CodeDeadAcrossViews = "OL302"
 
 	// CodeDuplicateDifferential (OL303): two views compile structurally
 	// identical differentials (equal up to variable renaming and head
 	// naming) — typically two rules monitoring the same condition.
 	// Informational: a shared-subnetwork candidate (`create shared
-	// function`, §6 of the paper); nothing is pruned.
+	// function`, §6 of the paper).
 	CodeDuplicateDifferential = "OL303"
 )
 

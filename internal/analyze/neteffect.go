@@ -1,6 +1,6 @@
 // Whole-network Δ-effect analysis: an interprocedural,
-// abstract-interpretation-style pass over the compiled program that
-// classifies every partial differential before it ever runs.
+// abstract-interpretation-style lint pass over the compiled program
+// that classifies every partial differential before it ever runs.
 //
 // The analysis works on a two-bit change-capability lattice per
 // predicate (can it gain tuples? can it lose tuples?). Base relations
@@ -8,21 +8,14 @@
 // delete-only, frozen, both — enforced by the store, so a declaration
 // is a proof, not a hint); view capabilities are the least fixpoint of
 // propagating trigger→effect signs through the compiled differentials.
-// A differential whose trigger Δ-set is provably always empty (OL301),
-// or whose disjunct is unsatisfiable once constants are propagated
-// through view composition (OL302), is recorded as prunable: the
-// propagation network drops it from scheduling without changing any
-// observable Δ-set, state, or rule firing. Structurally identical
-// differentials compiled under different views are reported as
-// shared-subnetwork candidates (OL303) but never pruned.
-//
-// Soundness: a differential is pruned only on a proof that its output
-// is empty in every reachable database state — never on statistics or
-// heuristics. OL301 rests on store-enforced capability declarations
-// (which are restriction-only, so a proof can never be invalidated
-// later); OL302 rests on constant contradictions that hold in all
-// states; Δ-substitution preserves both proofs because Δ+P ⊆ P_new and
-// Δ−P ⊆ P_old.
+// A differential whose trigger Δ-set is provably always empty is
+// reported as OL301: it never runs, because propagation skips a
+// differential whose seed Δ is empty. A disjunct that is unsatisfiable
+// once constants are propagated through view composition is reported
+// as OL302; objectlog.StaticallyEmpty owns that proof, and the
+// propagation network compiles no differentials for such a disjunct.
+// Structurally identical differentials compiled under different views
+// are reported as shared-subnetwork candidates (OL303).
 
 package analyze
 
@@ -81,17 +74,6 @@ type NetResult struct {
 	Report Report
 	// Caps is the fixpoint change capability of every analyzed view.
 	Caps map[string]Cap
-	// Pruned maps each provably zero-effect differential to the
-	// diagnostic code justifying the prune (OL301, OL302, or OL201 for
-	// disjuncts that are already dead intraprocedurally).
-	Pruned map[diff.Key]string
-}
-
-// PruneCode returns the diagnostic code under which the differential
-// was pruned, if it was.
-func (r *NetResult) PruneCode(k diff.Key) (string, bool) {
-	code, ok := r.Pruned[k]
-	return code, ok
 }
 
 // AnalyzeNet runs the whole-network Δ-effect analysis over the given
@@ -100,13 +82,13 @@ func (r *NetResult) PruneCode(k diff.Key) (string, bool) {
 // capability of a base relation (nil, or any name it does not know,
 // means unrestricted). opts must match the differential-generation
 // options the network uses, so the analysis sees exactly the
-// differentials that would be scheduled.
+// differentials the network compiles.
 //
 // Views that fail classification or generation are skipped: their
 // defects are definition-time errors reported by AnalyzeDef, not
 // network-level facts.
 func (a *Analyzer) AnalyzeNet(views []*objectlog.Def, baseCap func(string) Cap, opts diff.Options) *NetResult {
-	res := &NetResult{Caps: map[string]Cap{}, Pruned: map[diff.Key]string{}}
+	res := &NetResult{Caps: map[string]Cap{}}
 	sorted := make([]*objectlog.Def, len(views))
 	copy(sorted, views)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
@@ -131,30 +113,34 @@ func (a *Analyzer) AnalyzeNet(views []*objectlog.Def, baseCap func(string) Cap, 
 	analyzed := func(name string) bool { _, ok := plans[name]; return ok }
 
 	// Pass 1: interprocedural dead disjuncts (OL302). A disjunct dead
-	// before expansion is OL201 territory (reported by the per-def
-	// analyzer); here we only warn when the contradiction needs
-	// constants propagated through the views the disjunct joins.
-	dead := map[string]map[int]string{} // view → disjunct → prune code
+	// as written is OL201 territory (reported by the per-def analyzer);
+	// here we only warn when the contradiction needs constants
+	// propagated through the views the disjunct joins. Dead disjuncts of
+	// either kind compile no differentials, so later passes skip them.
+	type disjunct struct {
+		view   string
+		clause int
+	}
+	dead := map[disjunct]bool{}
 	for _, def := range sorted {
 		if plans[def.Name] != diff.Differenced {
 			continue
 		}
 		for ci, c := range def.Clauses {
+			if !objectlog.StaticallyEmpty(c, a.prog) {
+				continue
+			}
+			dead[disjunct{def.Name, ci}] = true
 			if _, ok := objectlog.Simplify(c); !ok {
-				markDead(dead, def.Name, ci, CodeDeadClause)
 				continue
 			}
-			if a.prog == nil || !deadAcrossViews(c, a.prog) {
-				continue
-			}
-			markDead(dead, def.Name, ci, CodeDeadAcrossViews)
 			res.Report = append(res.Report, Diagnostic{
 				Code:     CodeDeadAcrossViews,
 				Severity: Warning,
 				Pred:     def.Name,
 				Clause:   ci,
 				Literal:  -1,
-				Message:  "disjunct is statically empty once the views it joins are expanded; its differentials can never produce tuples and are pruned",
+				Message:  "disjunct is statically empty once the views it joins are expanded; its differentials are not compiled",
 				Hint:     "constants flowing through the view composition contradict — fix the disjunct or drop it",
 			})
 		}
@@ -181,6 +167,11 @@ func (a *Analyzer) AnalyzeNet(views []*objectlog.Def, baseCap func(string) Cap, 
 		}
 		return baseCap(name)
 	}
+	// live reports whether a differential can ever run: its disjunct is
+	// not dead and its influent can produce the trigger sign.
+	live := func(d diff.Differential) bool {
+		return !dead[disjunct{d.View, d.Disjunct}] && capOf(d.Influent).Has(d.TriggerSign)
+	}
 	for changed := true; changed; {
 		changed = false
 		for _, def := range sorted {
@@ -190,10 +181,7 @@ func (a *Analyzer) AnalyzeNet(views []*objectlog.Def, baseCap func(string) Cap, 
 			var c Cap
 			if plans[def.Name] == diff.Differenced {
 				for _, d := range diffs[def.Name] {
-					if _, isDead := dead[def.Name][d.Disjunct]; isDead {
-						continue
-					}
-					if capOf(d.Influent).Has(d.TriggerSign) {
+					if live(d) {
 						c |= capBit(d.EffectSign)
 					}
 				}
@@ -215,19 +203,13 @@ func (a *Analyzer) AnalyzeNet(views []*objectlog.Def, baseCap func(string) Cap, 
 		}
 	}
 
-	// Pass 3: prune verdicts. Dead disjuncts prune all their
-	// differentials; live differentials prune when the influent can
-	// never produce the trigger sign (OL301).
+	// Pass 3: trigger-impossible differentials of live disjuncts
+	// (OL301).
 	for _, def := range sorted {
 		for _, d := range diffs[def.Name] {
-			if code, isDead := dead[def.Name][d.Disjunct]; isDead {
-				res.Pruned[d.Key()] = code
+			if dead[disjunct{def.Name, d.Disjunct}] || capOf(d.Influent).Has(d.TriggerSign) {
 				continue
 			}
-			if capOf(d.Influent).Has(d.TriggerSign) {
-				continue
-			}
-			res.Pruned[d.Key()] = CodeUnreachableDelta
 			word := "insertions"
 			if d.TriggerSign == objectlog.DeltaMinus {
 				word = "deletions"
@@ -239,7 +221,7 @@ func (a *Analyzer) AnalyzeNet(views []*objectlog.Def, baseCap func(string) Cap, 
 				Clause:   d.Disjunct,
 				Literal:  d.Occurrence,
 				Message:  fmt.Sprintf("differential %s can never fire: %s admits no %s (capability %s)", d.Name(), d.Influent, word, capOf(d.Influent)),
-				Hint:     "pruned from scheduling; the network stays equivalent",
+				Hint:     "the differential never runs: its trigger Δ-set is always empty",
 			})
 		}
 	}
@@ -253,7 +235,7 @@ func (a *Analyzer) AnalyzeNet(views []*objectlog.Def, baseCap func(string) Cap, 
 	var keys []string
 	for _, def := range sorted {
 		for _, d := range diffs[def.Name] {
-			if _, isPruned := res.Pruned[d.Key()]; isPruned {
+			if !live(d) {
 				continue
 			}
 			k := fmt.Sprintf("%s|%s|%s", d.TriggerSign, d.EffectSign, objectlog.CanonicalBody(d.Clause))
@@ -289,32 +271,4 @@ func (a *Analyzer) AnalyzeNet(views []*objectlog.Def, baseCap func(string) Cap, 
 		}
 	}
 	return res
-}
-
-func markDead(dead map[string]map[int]string, view string, disjunct int, code string) {
-	m, ok := dead[view]
-	if !ok {
-		m = map[int]string{}
-		dead[view] = m
-	}
-	m[disjunct] = code
-}
-
-// deadAcrossViews reports whether the clause is unsatisfiable in every
-// database state once the derived predicates it references are inlined:
-// every expansion either dies on a head-unification constant conflict
-// or simplifies to a static contradiction. Expansion failures (e.g.
-// arity defects, which per-definition analysis reports separately)
-// yield no proof, so the answer is false.
-func deadAcrossViews(c objectlog.Clause, prog *objectlog.Program) bool {
-	expanded, err := objectlog.Expand(c, prog, nil)
-	if err != nil {
-		return false
-	}
-	for _, ec := range expanded {
-		if _, ok := objectlog.Simplify(ec); ok {
-			return false
-		}
-	}
-	return true
 }

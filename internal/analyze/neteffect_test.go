@@ -43,10 +43,13 @@ func hasCode(rep Report, code string) bool {
 	return false
 }
 
-func prunedCodes(r *NetResult) map[string]int {
-	out := map[string]int{}
-	for _, code := range r.Pruned {
-		out[code]++
+// diagsOf returns the diagnostics of one code.
+func diagsOf(rep Report, code string) Report {
+	var out Report
+	for _, d := range rep {
+		if d.Code == code {
+			out = append(out, d)
+		}
 	}
 	return out
 }
@@ -70,22 +73,16 @@ func TestNetNegatedOccurrenceCrossesSigns(t *testing.T) {
 	// v gains when g loses (trigger Δ−g) and loses when g gains. With g
 	// append-only the Δ−g trigger is impossible, so only the Δ+g-
 	// triggered (deletion-effect) differential of the ¬g occurrence
-	// survives.
+	// can run.
 	v := def("v", 1, objectlog.NewClause(lit("v", V("X")), lit("b", V("X")), not("g", V("X"))))
 	res := netAnalyzer(t, map[string]Cap{"g": CapInsert}, v)
 	if got := res.Caps["v"]; got != CapBoth {
 		t.Fatalf("cap(v) = %s, want insert+delete (b unrestricted)", got)
 	}
-	pruned := 0
-	for k, code := range res.Pruned {
-		if code != CodeUnreachableDelta {
-			t.Errorf("pruned %s under %s, want OL301", k, code)
-		}
-		pruned++
-	}
-	// Occurrence b: both signs live. Occurrence ¬g: Δ−g trigger pruned.
-	if pruned != 1 {
-		t.Fatalf("pruned %d differentials, want 1:\n%v", pruned, res.Pruned)
+	// Occurrence b: both signs live. Occurrence ¬g: Δ−g trigger dead.
+	ol301 := diagsOf(res.Report, CodeUnreachableDelta)
+	if len(ol301) != 1 || ol301[0].Literal != 1 || !strings.Contains(ol301[0].Message, "Δv/Δ-g") {
+		t.Fatalf("want one OL301 on the Δ−g differential of literal 1:\n%s", res.Report)
 	}
 }
 
@@ -102,18 +99,18 @@ func TestNetOL301(t *testing.T) {
 			t.Errorf("OL301 severity = %s, want info", d.Severity)
 		}
 	}
-	key := diff.Key{View: "v", Disjunct: 0, Occurrence: 0, Trigger: objectlog.DeltaMinus}
-	if code, ok := res.PruneCode(key); !ok || code != CodeUnreachableDelta {
-		t.Fatalf("Δ− differential of v not pruned under OL301: %v %v", code, ok)
-	}
-	if _, ok := res.PruneCode(diff.Key{View: "v", Disjunct: 0, Occurrence: 0, Trigger: objectlog.DeltaPlus}); ok {
-		t.Fatal("Δ+ differential of v pruned despite insert capability")
+	// Only the Δ− differential of v is trigger-impossible; the insert
+	// capability keeps Δ+ live.
+	ol301 := diagsOf(res.Report, CodeUnreachableDelta)
+	if len(ol301) != 1 || ol301[0].Pred != "v" || ol301[0].Clause != 0 || ol301[0].Literal != 0 ||
+		!strings.Contains(ol301[0].Message, "Δv/Δ-b") {
+		t.Fatalf("want one OL301 on Δv/Δ-b at clause 0, literal 0:\n%s", res.Report)
 	}
 
-	// Negative fixture: unrestricted base → nothing pruned, no OL301.
+	// Negative fixture: unrestricted base → no OL301.
 	res = netAnalyzer(t, nil, v)
-	if hasCode(res.Report, CodeUnreachableDelta) || len(res.Pruned) != 0 {
-		t.Fatalf("unrestricted base still pruned:\n%s\n%v", res.Report, res.Pruned)
+	if hasCode(res.Report, CodeUnreachableDelta) {
+		t.Fatalf("unrestricted base still reported:\n%s", res.Report)
 	}
 }
 
@@ -129,22 +126,10 @@ func TestNetOL302(t *testing.T) {
 	if !hasCode(res.Report, CodeDeadAcrossViews) {
 		t.Fatalf("interprocedural contradiction produced no OL302:\n%s", res.Report)
 	}
-	for _, d := range res.Report {
-		if d.Code == CodeDeadAcrossViews {
-			if d.Severity != Warning {
-				t.Errorf("OL302 severity = %s, want warning", d.Severity)
-			}
-			if d.Pred != "c" {
-				t.Errorf("OL302 on %s, want c", d.Pred)
-			}
-		}
-	}
-	// All of c's differentials (one occurrence, two signs) are pruned.
-	for _, trig := range []objectlog.DeltaKind{objectlog.DeltaPlus, objectlog.DeltaMinus} {
-		k := diff.Key{View: "c", Disjunct: 0, Occurrence: 0, Trigger: trig}
-		if code, ok := res.PruneCode(k); !ok || code != CodeDeadAcrossViews {
-			t.Errorf("differential %s not pruned under OL302: %v %v", k, code, ok)
-		}
+	ol302 := diagsOf(res.Report, CodeDeadAcrossViews)
+	if len(ol302) != 1 || ol302[0].Severity != Warning || ol302[0].Pred != "c" ||
+		ol302[0].Clause != 0 || ol302[0].Literal != -1 {
+		t.Fatalf("want one OL302 warning on c, clause 0:\n%s", res.Report)
 	}
 	// A dead view contributes no change capability.
 	if got := res.Caps["c"]; got != CapNone {
@@ -154,8 +139,8 @@ func TestNetOL302(t *testing.T) {
 	// Negative fixture: asking for the admitted constant is satisfiable.
 	c2 := def("c2", 1, objectlog.NewClause(lit("c2", V("I")), lit("sv", V("I"), C(3))))
 	res = netAnalyzer(t, nil, sv, c2)
-	if hasCode(res.Report, CodeDeadAcrossViews) || len(res.Pruned) != 0 {
-		t.Fatalf("satisfiable composition flagged dead:\n%s\n%v", res.Report, res.Pruned)
+	if hasCode(res.Report, CodeDeadAcrossViews) || res.Caps["c2"] != CapBoth {
+		t.Fatalf("satisfiable composition flagged dead (cap %s):\n%s", res.Caps["c2"], res.Report)
 	}
 }
 
@@ -184,9 +169,6 @@ func TestNetOL303(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("OL303 does not name the duplicated view:\n%s", res.Report)
-	}
-	if len(res.Pruned) != 0 {
-		t.Fatalf("OL303 must not prune, got %v", res.Pruned)
 	}
 
 	// Negative fixture: structurally different conditions.
@@ -221,18 +203,24 @@ func TestNetAggregateReevalCapability(t *testing.T) {
 func TestNetIntraproceduralDeadDisjunctPrunes(t *testing.T) {
 	V, C, lit := objectlog.V, objectlog.CInt, objectlog.Lit
 	// The second disjunct is dead without any expansion (OL201 is the
-	// per-definition diagnostic); the network analysis still prunes its
-	// differentials but does not re-report it as OL302.
+	// per-definition diagnostic); the network analysis skips its
+	// differentials — no OL301 for its Δ− trigger, which b's
+	// append-only capability would otherwise flag — and does not
+	// re-report it as OL302.
 	v := &objectlog.Def{Name: "v", Arity: 1, Clauses: []objectlog.Clause{
 		objectlog.NewClause(lit("v", V("X")), lit("b", V("X"))),
 		objectlog.NewClause(lit("v", V("X")), lit("b", V("X")), lit(objectlog.BuiltinEQ, C(1), C(2))),
 	}}
-	res := netAnalyzer(t, nil, v)
+	res := netAnalyzer(t, map[string]Cap{"b": CapInsert}, v)
 	if hasCode(res.Report, CodeDeadAcrossViews) {
 		t.Fatalf("intraprocedurally dead disjunct re-reported as OL302:\n%s", res.Report)
 	}
-	codes := prunedCodes(res)
-	if codes[CodeDeadClause] != 2 {
-		t.Fatalf("dead disjunct differentials pruned = %v, want 2×OL201", codes)
+	for _, d := range diagsOf(res.Report, CodeUnreachableDelta) {
+		if d.Clause != 0 {
+			t.Errorf("dead disjunct reported as OL301: %s", d)
+		}
+	}
+	if n := len(diagsOf(res.Report, CodeUnreachableDelta)); n != 1 {
+		t.Fatalf("want one OL301 for the live disjunct's Δ−b, got %d:\n%s", n, res.Report)
 	}
 }

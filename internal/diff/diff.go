@@ -64,28 +64,6 @@ func (d Differential) Name() string {
 	return fmt.Sprintf("Δ%s/%s%s", d.View, d.TriggerSign, d.Influent)
 }
 
-// Key identifies a differential within a compiled program. Generate
-// emits at most one differential per (view, disjunct, occurrence,
-// trigger sign), so the key is unique and stable across regeneration —
-// the static analyzer records its prune verdicts against it and the
-// propagation network looks them up when scheduling.
-type Key struct {
-	View       string
-	Disjunct   int
-	Occurrence int
-	Trigger    objectlog.DeltaKind
-}
-
-// Key returns the differential's identity key.
-func (d Differential) Key() Key {
-	return Key{View: d.View, Disjunct: d.Disjunct, Occurrence: d.Occurrence, Trigger: d.TriggerSign}
-}
-
-// String renders the key compactly, e.g. "cnd_r#0.2/Δ+".
-func (k Key) String() string {
-	return fmt.Sprintf("%s#%d.%d/%s", k.View, k.Disjunct, k.Occurrence, k.Trigger)
-}
-
 // String renders the differential with its clause.
 func (d Differential) String() string {
 	return fmt.Sprintf("%s: %s", d.Name(), d.Clause)

@@ -1,5 +1,5 @@
 // Package maint is the dynamic maintenance subsystem: the runtime
-// counterpart of the static differential pruning in internal/analyze.
+// counterpart of the network build's static dead-disjunct dropping.
 // It bundles two cooperating pieces the propagation network consults
 // during every wave:
 //

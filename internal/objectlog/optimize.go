@@ -43,6 +43,33 @@ func Simplify(c Clause) (simplified Clause, ok bool) {
 	}
 }
 
+// StaticallyEmpty reports whether the clause produces no tuples in any
+// database state: it simplifies to a contradiction as written, or every
+// expansion of the derived predicates it references through prog dies
+// on a head-unification constant conflict or simplifies to one. The
+// answer is a proof, never a heuristic — the propagation network drops
+// the differentials of a clause on it — so expansion failures (e.g.
+// arity defects, which per-definition analysis reports separately)
+// yield false. A nil prog checks the clause as written only.
+func StaticallyEmpty(c Clause, prog *Program) bool {
+	if _, ok := Simplify(c); !ok {
+		return true
+	}
+	if prog == nil {
+		return false
+	}
+	expanded, err := Expand(c, prog, nil)
+	if err != nil {
+		return false
+	}
+	for _, ec := range expanded {
+		if _, ok := Simplify(ec); ok {
+			return false
+		}
+	}
+	return true
+}
+
 type simpAction int
 
 const (

@@ -178,3 +178,29 @@ func TestSimplifyExpansionResidue(t *testing.T) {
 		t.Errorf("got %s", s)
 	}
 }
+
+func TestStaticallyEmpty(t *testing.T) {
+	// sv constrains its second column to 3.
+	prog := NewProgram()
+	if err := prog.Define(&Def{Name: "sv", Arity: 2, Clauses: []Clause{
+		NewClause(Lit("sv", V("I"), V("S")), Lit("status", V("I")), Lit(BuiltinEQ, V("S"), CInt(3))),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    Clause
+		prog *Program
+		want bool
+	}{
+		{"dead as written", NewClause(Lit("c", V("I")), Lit("status", V("I")), Lit(BuiltinEQ, CInt(1), CInt(2))), nil, true},
+		{"dead across views", NewClause(Lit("c", V("I")), Lit("sv", V("I"), CInt(9))), prog, true},
+		{"admitted constant", NewClause(Lit("c", V("I")), Lit("sv", V("I"), CInt(3))), prog, false},
+		{"no program, no expansion", NewClause(Lit("c", V("I")), Lit("sv", V("I"), CInt(9))), nil, false},
+		{"expansion failure is no proof", NewClause(Lit("c", V("I")), Lit("sv", V("I"))), prog, false},
+	} {
+		if got := StaticallyEmpty(tc.c, tc.prog); got != tc.want {
+			t.Errorf("%s: StaticallyEmpty(%s) = %v, want %v", tc.name, tc.c, got, tc.want)
+		}
+	}
+}

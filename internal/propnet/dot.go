@@ -32,14 +32,8 @@ func (n *Network) Dot() string {
 		fmt.Fprintf(&sb, "  %s [shape=%s, label=%s];\n",
 			dotID(name), shape, dotQuote(fmt.Sprintf("%s\\nlevel %d", name, nd.Level)))
 	}
-	// Deterministic edge order. Statically pruned differentials render
-	// as a separate dashed grey edge labeled with their OL codes, so the
-	// picture shows what the compiler emitted and what the analysis
-	// removed from scheduling.
-	type edgeRow struct {
-		from, to, label string
-		pruned          bool
-	}
+	// Deterministic edge order.
+	type edgeRow struct{ from, to, label string }
 	var rows []edgeRow
 	for _, name := range names {
 		nd := n.nodes[name]
@@ -52,43 +46,21 @@ func (n *Network) Dot() string {
 			if label == "" && e.To.Recompute {
 				label = "re-evaluate"
 			}
-			if label != "" || len(e.Pruned) == 0 {
-				rows = append(rows, edgeRow{from: name, to: e.To.Pred, label: label})
-			}
-			if len(e.Pruned) > 0 {
-				rows = append(rows, edgeRow{from: name, to: e.To.Pred, label: prunedLabel(e.Pruned), pruned: true})
-			}
+			rows = append(rows, edgeRow{from: name, to: e.To.Pred, label: label})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].from != rows[j].from {
 			return rows[i].from < rows[j].from
 		}
-		if rows[i].to != rows[j].to {
-			return rows[i].to < rows[j].to
-		}
-		return !rows[i].pruned && rows[j].pruned
+		return rows[i].to < rows[j].to
 	})
 	for _, r := range rows {
-		attrs := ""
-		if r.pruned {
-			attrs = ", style=dashed, color=grey, fontcolor=grey"
-		}
-		fmt.Fprintf(&sb, "  %s -> %s [label=%s%s];\n",
-			dotID(r.from), dotID(r.to), dotQuote(r.label), attrs)
+		fmt.Fprintf(&sb, "  %s -> %s [label=%s];\n",
+			dotID(r.from), dotID(r.to), dotQuote(r.label))
 	}
 	sb.WriteString("}\n")
 	return sb.String()
-}
-
-// prunedLabel renders the pruned differentials of an edge, each with
-// the diagnostic code that proves it zero-effect.
-func prunedLabel(pruned []PrunedDiff) string {
-	labels := make([]string, len(pruned))
-	for i, p := range pruned {
-		labels[i] = fmt.Sprintf("%s [%s]", p.Diff.Name(), p.Code)
-	}
-	return strings.Join(labels, "\\n")
 }
 
 // DotHeat renders the network like Dot, heat-annotated from the
@@ -154,7 +126,6 @@ func (n *Network) DotHeat() string {
 	type edgeRow struct {
 		from, to, label string
 		produced        int64
-		pruned          bool
 	}
 	var rows []edgeRow
 	for _, name := range names {
@@ -169,34 +140,19 @@ func (n *Network) DotHeat() string {
 				label = "re-evaluate"
 			}
 			p := flow[[2]string{name, e.To.Pred}]
-			if label != "" || len(e.Pruned) == 0 {
-				el := label
-				if p > 0 {
-					el += fmt.Sprintf("\\nΔ %d", p)
-				}
-				rows = append(rows, edgeRow{from: name, to: e.To.Pred, label: el, produced: p})
+			if p > 0 {
+				label += fmt.Sprintf("\\nΔ %d", p)
 			}
-			// Pruned differentials never carry flow: dashed, grey, cold.
-			if len(e.Pruned) > 0 {
-				rows = append(rows, edgeRow{from: name, to: e.To.Pred, label: prunedLabel(e.Pruned), pruned: true})
-			}
+			rows = append(rows, edgeRow{from: name, to: e.To.Pred, label: label, produced: p})
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].from != rows[j].from {
 			return rows[i].from < rows[j].from
 		}
-		if rows[i].to != rows[j].to {
-			return rows[i].to < rows[j].to
-		}
-		return !rows[i].pruned && rows[j].pruned
+		return rows[i].to < rows[j].to
 	})
 	for _, r := range rows {
-		if r.pruned {
-			fmt.Fprintf(&sb, "  %s -> %s [label=%s, style=dashed, color=grey, fontcolor=grey];\n",
-				dotID(r.from), dotID(r.to), dotQuote(r.label))
-			continue
-		}
 		fmt.Fprintf(&sb, "  %s -> %s [label=%s, penwidth=%.2f];\n",
 			dotID(r.from), dotID(r.to), dotQuote(r.label), 1+math.Log10(float64(r.produced+1)))
 	}

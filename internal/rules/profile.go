@@ -1,7 +1,6 @@
 package rules
 
 import (
-	"fmt"
 	"io"
 
 	"partdiff/internal/eval"
@@ -46,30 +45,7 @@ func (m *Manager) ProfileSource(view string) string {
 
 // ProfileReport writes the propagation profiler's report with rule
 // attribution (see obs.Profiler.WriteReport for the format). topK <= 0
-// means all rows. When the network carries statically pruned
-// differentials, a trailing section lists them — they never execute,
-// so they can't appear in the profiler's runtime zero-effect counts,
-// and the two measurements reconcile: zero-effect work eliminated at
-// compile time shows here, what remains shows above.
+// means all rows.
 func (m *Manager) ProfileReport(w io.Writer, topK int) error {
-	if err := m.obs.Profiler.WriteReport(w, topK, m.ProfileSource, m.StrategyOf); err != nil {
-		return err
-	}
-	if m.net == nil {
-		return nil
-	}
-	pruned := m.net.PrunedDiffs()
-	if len(pruned) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "\nstatically pruned (%d of %d compiled differentials, never executed):\n",
-		len(pruned), m.net.CompiledDiffs()); err != nil {
-		return err
-	}
-	for _, p := range pruned {
-		if _, err := fmt.Fprintf(w, "  %-12s %s [%s]\n", m.ProfileSource(p.Diff.View), p.Diff.Name(), p.Code); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.obs.Profiler.WriteReport(w, topK, m.ProfileSource, m.StrategyOf)
 }

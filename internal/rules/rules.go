@@ -204,12 +204,11 @@ type Manager struct {
 	net      *propnet.Network
 	netDirty bool
 	// pending holds physical events observed while the network was dirty.
-	// OnEvent runs under the store's write lock (emit → txn observe), and
-	// a rebuild there would re-run the Δ-effect analysis — which reads
-	// store capabilities and extents and so self-deadlocks on that lock.
-	// Dirty-network events are buffered here and folded into the base
-	// Δ-sets by the next ensureNet at a safe point (a toggle, activation,
-	// or the check phase, none of which hold the store lock).
+	// OnEvent runs under the store's write lock (emit → txn observe) and
+	// has no error path, while a rebuild can fail (e.g. a differencing
+	// or stratification error). Dirty-network events are buffered here
+	// and folded into the base Δ-sets by the next ensureNet at a point
+	// that can report such a failure (activation or the check phase).
 	pending  []storage.Event
 	diffOpts diff.Options
 	inj      *faultinject.Injector
@@ -218,9 +217,6 @@ type Manager struct {
 	// rebuilds: derivation counts and chooser cost history survive
 	// redefinitions that don't change a view.
 	maintainer *maint.Maintainer
-	// staticPruning enables the whole-network Δ-effect analysis on every
-	// rebuilt network (on by default; opt-out for A/B comparison).
-	staticPruning bool
 
 	// analysisCache memoizes definition-time analysis per definition
 	// name, keyed by the canonical rendering (so an unchanged definition
@@ -296,7 +292,6 @@ func NewManager(store *storage.Store, mode Mode) *Manager {
 		sharedNames:   map[string]bool{},
 		diffOpts:      diff.DefaultOptions(),
 		netDirty:      true,
-		staticPruning: true,
 		analysisCache: map[string]analysisEntry{},
 	}
 	m.Resolve = defaultResolver
@@ -334,21 +329,6 @@ func (m *Manager) SetMonitorDeletions(on bool) {
 	m.diffOpts.Negative = on
 	m.netDirty = true
 }
-
-// SetStaticPruning controls whether rebuilt networks run the
-// whole-network Δ-effect analysis and drop provably zero-effect
-// differentials from scheduling (default on). The network is rebuilt
-// on change.
-func (m *Manager) SetStaticPruning(on bool) {
-	if m.staticPruning == on {
-		return
-	}
-	m.staticPruning = on
-	m.netDirty = true
-}
-
-// StaticPruning reports whether static differential pruning is enabled.
-func (m *Manager) StaticPruning() bool { return m.staticPruning }
 
 // ensureMaintainer lazily creates the maintenance subsystem (with both
 // features off) and binds it to the manager's observability bundle.
@@ -419,15 +399,12 @@ func (m *Manager) StrategyOf(view string) string {
 }
 
 // DeclareCapability restricts the admitted change kinds of a base
-// relation (enforced by the store) and rebuilds the network so the
-// static analysis can prune differentials the restriction makes
-// impossible.
+// relation, enforced by the store. The propagation network is left as
+// it is: a differential the restriction makes trigger-impossible never
+// runs anyway (its seed Δ stays empty), and AnalyzeNetwork reports it
+// as OL301.
 func (m *Manager) DeclareCapability(rel string, cap storage.Capability) error {
-	if err := m.store.DeclareCapability(rel, cap); err != nil {
-		return err
-	}
-	m.netDirty = true
-	return nil
+	return m.store.DeclareCapability(rel, cap)
 }
 
 // Program returns the derived-predicate program (shared with the AMOSQL
@@ -518,9 +495,9 @@ func (m *Manager) InvalidateAnalysis() {
 // AnalyzeNetwork runs the whole-network Δ-effect analysis (the OL3xx
 // diagnostics) over every derived definition currently in the program,
 // using the store's declared base-relation capabilities — the \lint
-// view of what a rebuilt propagation network would prune. It is not
-// cached: the verdicts depend on the whole program and the capability
-// declarations, not on any single definition.
+// view of the propagation network. It is not cached: the verdicts
+// depend on the whole program and the capability declarations, not on
+// any single definition.
 func (m *Manager) AnalyzeNetwork() *analyze.NetResult {
 	var views []*objectlog.Def
 	for _, name := range m.prog.Names() {
@@ -753,7 +730,6 @@ func (m *Manager) ensureNet() error {
 	}
 	old := m.net
 	net := propnet.New(m.store, m.prog, m.diffOpts)
-	net.SetStaticPruning(m.staticPruning)
 	net.SetInjector(m.inj)
 	net.SetObs(m.netMet, m.obs.Tracer)
 	net.SetProfiler(m.obs.Profiler)
@@ -840,11 +816,10 @@ func sortedActivations(m map[string]*Activation) []*Activation {
 
 // OnEvent folds a physical update event into the network's base Δ-sets.
 // It never rebuilds the network: it is called with the store's write
-// lock held, and a rebuild runs the Δ-effect analysis, which reads
-// store capabilities — a self-deadlock. While the network is dirty (a
-// runtime toggle such as SetCounting/SetHybrid/SetStaticPruning, a
-// capability declaration, or a late shared-view definition), events are
-// buffered and folded in by the next safe rebuild.
+// lock held and cannot report a failed rebuild. While the network is
+// dirty (a runtime toggle such as SetCounting/SetHybrid, or a late
+// shared-view definition), events are buffered and folded in by the
+// next rebuild.
 func (m *Manager) OnEvent(e storage.Event) {
 	if len(m.activations) == 0 {
 		return

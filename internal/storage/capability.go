@@ -12,8 +12,8 @@ import (
 // rejects mutations outside a relation's declared capability, a
 // declaration is an enforced contract, not a hint — the static network
 // analyzer (internal/analyze) may soundly prove that Δ-sets of a given
-// sign are always empty for restricted relations and prune the partial
-// differentials they would have triggered.
+// sign are always empty for restricted relations and report the partial
+// differentials they would have triggered as never running (OL301).
 type Capability uint8
 
 // The capability bits.

@@ -147,7 +147,6 @@ type config struct {
 	noDeletions bool
 	lazy        bool
 	adaptive    bool
-	noPruning   bool
 	counting    bool
 	hybrid      bool
 	budget      time.Duration
@@ -207,19 +206,6 @@ func WithoutDeletionMonitoring() Option {
 // commit time instead, as in earlier releases.
 func WithLazyAnalysis() Option {
 	return func(c *config) { c.lazy = true }
-}
-
-// WithoutStaticPruning disables the whole-network Δ-effect analysis
-// that runs when a propagation network is built. By default (pruning
-// on), differentials whose trigger Δ-set is provably always empty —
-// e.g. the Δ− differentials of a relation declared `append only` — or
-// whose disjunct is unsatisfiable across view boundaries are compiled
-// but dropped from scheduling; the analysis is sound, so pruned and
-// unpruned monitoring are observably identical. This option keeps every
-// compiled differential scheduled, for A/B comparison (the `bench -exp
-// prune` experiment) and for debugging the analysis itself.
-func WithoutStaticPruning() Option {
-	return func(c *config) { c.noPruning = true }
 }
 
 // WithCounting enables counting maintenance: every differenced
@@ -367,9 +353,6 @@ func open(opts []Option) (*DB, *config) {
 	}
 	if cfg.adaptive {
 		db.sess.EnableAdaptiveStats()
-	}
-	if cfg.noPruning {
-		db.sess.SetStaticPruning(false)
 	}
 	if cfg.counting {
 		db.sess.SetCounting(true)
@@ -555,9 +538,9 @@ const (
 
 // DeclareCapability restricts the admitted change kinds of a stored
 // function's relation (or a type extent, via its type:NAME relation).
-// The store rejects excluded updates from then on, and the static
-// network analysis prunes the partial differentials the restriction
-// makes impossible. Capabilities only narrow: widening a declared
+// The store rejects excluded updates from then on, and the network
+// lint (OL301) reports the partial differentials the restriction makes
+// trigger-impossible. Capabilities only narrow: widening a declared
 // capability is an error. Equivalent to the AMOSQL statement
 // `declare NAME readonly|append only|delete only|read-write;` — prefer
 // the statement on durable databases, which journals it for recovery.

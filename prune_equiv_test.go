@@ -13,16 +13,16 @@ import (
 	"partdiff/internal/faultinject"
 )
 
-// The static-pruning equivalence property: the whole-network Δ-effect
-// analysis only removes differentials it has PROVED can never produce a
-// tuple, so monitoring with pruning on and off must be observably
-// identical — same stored state, same rule firings in the same order,
-// same query results — on every workload. These tests drive the
-// property over the shipped example scripts and seeded random
-// workloads; `bench -exp prune` asserts it again on the paper's §6
-// benchmark database.
+// The network build drops the differentials of disjuncts it has PROVED
+// can never produce a tuple, and declared capabilities only restrict
+// what the store admits, so incremental monitoring must be observably
+// identical to naive re-evaluation — which compiles no differentials at
+// all — on declared-capability schemas too: same stored state, same
+// rule firings in the same order, same query results. These tests drive
+// the property over the shipped example scripts and seeded random
+// workloads.
 
-// twinDBs opens a pruned/unpruned DB pair with identical recording
+// twinDBs opens an incremental/naive DB pair with identical recording
 // procedures and print outputs.
 func twinDBs(t *testing.T, procs []string) (on, off *DB, firedOn, firedOff *[]string, outOn, outOff *bytes.Buffer) {
 	t.Helper()
@@ -41,7 +41,7 @@ func twinDBs(t *testing.T, procs []string) (on, off *DB, firedOn, firedOff *[]st
 		return db
 	}
 	on = mk(&fOn)
-	off = mk(&fOff, WithoutStaticPruning())
+	off = mk(&fOff, WithMode(Naive))
 	var bOn, bOff bytes.Buffer
 	on.SetOutput(&bOn)
 	off.SetOutput(&bOff)
@@ -52,22 +52,23 @@ func twinDBs(t *testing.T, procs []string) (on, off *DB, firedOn, firedOff *[]st
 func assertTwinsEqual(t *testing.T, on, off *DB, firedOn, firedOff *[]string, outOn, outOff *bytes.Buffer) {
 	t.Helper()
 	if !reflect.DeepEqual(*firedOn, *firedOff) {
-		t.Errorf("firings diverge:\npruned:   %v\nunpruned: %v", *firedOn, *firedOff)
+		t.Errorf("firings diverge:\nincremental: %v\nnaive:       %v", *firedOn, *firedOff)
 	}
 	sOn, sOff := on.Session().Store().Snapshot(), off.Session().Store().Snapshot()
 	if !reflect.DeepEqual(sOn, sOff) {
-		t.Errorf("stored state diverges:\npruned:   %v\nunpruned: %v", sOn, sOff)
+		t.Errorf("stored state diverges:\nincremental: %v\nnaive:       %v", sOn, sOff)
 	}
 	if outOn.String() != outOff.String() {
-		t.Errorf("print output diverges:\npruned:   %q\nunpruned: %q", outOn.String(), outOff.String())
+		t.Errorf("print output diverges:\nincremental: %q\nnaive:       %q", outOn.String(), outOff.String())
 	}
 	if err := on.CheckInvariants(); err != nil {
-		t.Errorf("pruned DB invariants: %v", err)
+		t.Errorf("incremental DB invariants: %v", err)
 	}
 }
 
 // TestPruningEquivalenceScripts replays every shipped example script on
-// a pruned and an unpruned database and compares everything observable.
+// an incremental and a naive database and compares everything
+// observable.
 func TestPruningEquivalenceScripts(t *testing.T) {
 	scripts, err := filepath.Glob("examples/scripts/*.amosql")
 	if err != nil {
@@ -86,13 +87,13 @@ func TestPruningEquivalenceScripts(t *testing.T) {
 			resOn, errOn := on.Exec(string(src))
 			resOff, errOff := off.Exec(string(src))
 			if (errOn == nil) != (errOff == nil) {
-				t.Fatalf("script errors diverge: pruned %v, unpruned %v", errOn, errOff)
+				t.Fatalf("script errors diverge: incremental %v, naive %v", errOn, errOff)
 			}
 			if errOn != nil {
 				t.Fatalf("script failed: %v", errOn)
 			}
 			if !reflect.DeepEqual(resOn, resOff) {
-				t.Errorf("statement results diverge:\npruned:   %v\nunpruned: %v", resOn, resOff)
+				t.Errorf("statement results diverge:\nincremental: %v\nnaive:       %v", resOn, resOff)
 			}
 			assertTwinsEqual(t, on, off, fOn, fOff, bOn, bOff)
 		})
@@ -101,8 +102,9 @@ func TestPruningEquivalenceScripts(t *testing.T) {
 
 // pruneSchema extends the fault-sweep schema with an append-only event
 // log monitored by a second rule, so the capability declarations make
-// the analysis actually prune differentials (Δ− of events is
-// impossible) while random updates still flow through both networks.
+// differentials trigger-impossible (Δ− of events, any Δ of threshold;
+// \lint reports them as OL301) while random updates still flow through
+// the network.
 const pruneSchema = `
 create type item;
 create function quantity(item) -> integer;
@@ -140,10 +142,22 @@ func genPruneScript(rng *rand.Rand, steps int) []string {
 	return script
 }
 
-// TestPruningEquivalenceRandom runs seeded random workloads through a
-// pruned/unpruned twin pair, comparing state and firings after every
-// transaction, and asserts the pruned network actually dropped
-// differentials (the property must not hold vacuously).
+// assertOL301 fails the test unless the lint of db reports a
+// trigger-impossible differential: the declarations must bite, or a
+// check over pruneSchema holds vacuously.
+func assertOL301(t *testing.T, db *DB) {
+	t.Helper()
+	for _, d := range db.Session().AnalyzeAll() {
+		if d.Code == "OL301" {
+			return
+		}
+	}
+	t.Fatal("schema declarations make no differential trigger-impossible (no OL301)")
+}
+
+// TestPruningEquivalenceRandom runs seeded random workloads through an
+// incremental/naive twin pair over the declared-capability schema,
+// comparing state and firings after every transaction.
 func TestPruningEquivalenceRandom(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
@@ -154,20 +168,14 @@ func TestPruningEquivalenceRandom(t *testing.T) {
 			on, off, fOn, fOff, bOn, bOff := twinDBs(t, []string{"record", "record2"})
 			on.MustExec(pruneSchema)
 			off.MustExec(pruneSchema)
-			net := on.Session().Rules().Network()
-			if net == nil || net.PrunedCount() == 0 {
-				t.Fatal("schema declarations pruned nothing; the equivalence check is vacuous")
-			}
-			if offNet := off.Session().Rules().Network(); offNet.PrunedCount() != 0 {
-				t.Fatalf("unpruned twin pruned %d differentials", offNet.PrunedCount())
-			}
+			assertOL301(t, on)
 			rng := rand.New(rand.NewSource(seed))
 			for txn := 0; txn < 8; txn++ {
 				script := genPruneScript(rng, 1+rng.Intn(6))
 				errOn := runScript(on, script)
 				errOff := runScript(off, script)
 				if (errOn == nil) != (errOff == nil) {
-					t.Fatalf("txn %d: errors diverge: pruned %v, unpruned %v", txn, errOn, errOff)
+					t.Fatalf("txn %d: errors diverge: incremental %v, naive %v", txn, errOn, errOff)
 				}
 				assertTwinsEqual(t, on, off, fOn, fOff, bOn, bOff)
 			}
@@ -175,10 +183,11 @@ func TestPruningEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestFaultSweepPruned re-runs the fault-sweep discipline with static
-// pruning active (capability declarations in the schema): a fault at
-// every operation index must surface, roll back cleanly, and leave a
-// survivor that replays to the same state and firings as a fresh DB.
+// TestFaultSweepPruned re-runs the fault-sweep discipline over the
+// declared-capability schema: a fault at every operation index must
+// surface, roll back cleanly (capability enforcement suspended for the
+// undo), and leave a survivor that replays to the same state and
+// firings as a fresh DB.
 func TestFaultSweepPruned(t *testing.T) {
 	seeds := []int64{1, 2}
 	stride := 1
@@ -205,9 +214,7 @@ func TestFaultSweepPruned(t *testing.T) {
 
 			var baseFired []string
 			base := mkDB(&baseFired)
-			if n := base.Session().Rules().Network().PrunedCount(); n == 0 {
-				t.Fatal("sweep schema pruned nothing")
-			}
+			assertOL301(t, base)
 			inj := faultinject.New()
 			base.Session().SetInjector(inj)
 			baseFired = nil
@@ -266,7 +273,7 @@ func TestFaultSweepPruned(t *testing.T) {
 
 // TestDeclareSurvivesReopen checks the `declare` statement is journaled
 // like other DDL: after reopening from the data directory the
-// restriction is still enforced and the rebuilt network still prunes.
+// restriction is still enforced and still shows in the lint.
 func TestDeclareSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	var fired []string
@@ -296,7 +303,71 @@ func TestDeclareSurvivesReopen(t *testing.T) {
 		t.Fatal("append-only declaration lost across reopen")
 	}
 	db2.MustExec(`set quantity(:i2) = 3;`)
-	if net := db2.Session().Rules().Network(); net == nil || net.PrunedCount() == 0 {
-		t.Fatal("recovered network prunes nothing")
+	assertOL301(t, db2)
+}
+
+// deadbranchSchema is a rule with a live low-stock disjunct plus a dead
+// one: the shared view flagged constrains its result to 3, and the
+// disjunct asks for 9. Differencing stops specializing at shared views,
+// so only the network build's expansion proves the disjunct empty
+// (OL302).
+const deadbranchSchema = `
+create type item;
+create function quantity(item) -> integer;
+create function threshold(item) -> integer;
+create function status(item) -> integer;
+create shared function flagged(item i) -> integer
+    as select s for each integer s where status(i) = s and s = 3;
+create rule watch_dead() as
+    when for each item i
+    where quantity(i) < threshold(i)
+       or (quantity(i) < -1000 and flagged(i) = 9)
+    do order(i, quantity(i));
+create item instances :i1, :i2, :i3, :i4;
+set quantity(:i1) = 5000;
+set quantity(:i2) = 5000;
+set quantity(:i3) = 5000;
+set quantity(:i4) = 5000;
+set threshold(:i1) = 100;
+set threshold(:i2) = 100;
+set threshold(:i3) = 100;
+set threshold(:i4) = 100;
+set status(:i1) = 3;
+set status(:i2) = 3;
+set status(:i3) = 3;
+set status(:i4) = 3;
+activate watch_dead();
+`
+
+// TestDeadBranchWork pins the work the OL302 fold saves: over 100
+// quantity updates only the live disjunct's two quantity differentials
+// run — 200 executions, where compiling the dead disjunct would make
+// 400 — and the rule fires exactly as under naive re-evaluation.
+func TestDeadBranchWork(t *testing.T) {
+	inc, naive, firedInc, firedNaive, outInc, outNaive := twinDBs(t, []string{"order"})
+	inc.MustExec(deadbranchSchema)
+	naive.MustExec(deadbranchSchema)
+	inc.SetProfiling(true)
+	for txn := 0; txn < 100; txn++ {
+		// Every 5th update drops an item below its threshold, so the
+		// rule fires; the others restore it or stay far above.
+		q := 5000 + txn
+		if txn%5 == 0 {
+			q = 50
+		}
+		stmt := fmt.Sprintf("begin; set quantity(:i%d) = %d; commit;", txn%4+1, q)
+		inc.MustExec(stmt)
+		naive.MustExec(stmt)
 	}
+	var execs int64
+	for _, pt := range inc.Observability().Profiler.Snapshot() {
+		execs += pt.Execs
+	}
+	if execs != 200 {
+		t.Errorf("profiler counted %d differential executions, want 200", execs)
+	}
+	if len(*firedInc) == 0 {
+		t.Fatal("the rule never fired; the firing comparison is vacuous")
+	}
+	assertTwinsEqual(t, inc, naive, firedInc, firedNaive, outInc, outNaive)
 }
